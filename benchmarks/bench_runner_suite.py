@@ -3,8 +3,8 @@
 Three properties of the execution layer, at small scale so the whole
 file runs in well under a minute:
 
-* the process-pool and async shard-graph runners render byte-identically
-  to the serial one;
+* the async shard-graph runner, under both its process and thread
+  executors, renders byte-identically to the serial one;
 * a warmed artifact cache turns a repeat run into a replay (the
   second full pass must be at least 3x faster);
 * the shared trace/ADM tiers keep a mixed suite from regenerating
@@ -23,7 +23,6 @@ import time
 from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
-    ProcessPoolRunner,
     RunRequest,
     SerialRunner,
     cache_disabled,
@@ -61,7 +60,7 @@ def test_parallel_matches_serial(benchmark, artifact_writer):
         serial = SerialRunner().run(_requests())
     with cache_disabled():
         parallel = benchmark.pedantic(
-            lambda: ProcessPoolRunner(jobs=2).run(_requests()),
+            lambda: AsyncShardRunner(jobs=2, executor="process").run(_requests()),
             rounds=1,
             iterations=1,
         )

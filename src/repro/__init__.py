@@ -15,7 +15,7 @@ and execute a stealthy attack, read the report::
 Subsystem entry points live in their packages: :mod:`repro.home`,
 :mod:`repro.dataset`, :mod:`repro.adm`, :mod:`repro.hvac`,
 :mod:`repro.attack`, :mod:`repro.defense`, :mod:`repro.testbed`,
-:mod:`repro.smt`, :mod:`repro.analysis`.  Programs driving whole
+:mod:`repro.smt`, :mod:`repro.runner`.  Programs driving whole
 experiment runs (sweeps, run history) should go through
 :mod:`repro.api` — the session layer the ``repro`` CLI itself sits on.
 """

@@ -133,8 +133,8 @@ class Session:
         no_cache: Run with caching fully off; no manifests are
             persisted either (there is no store location without a
             cache dir).
-        runner: Backend name (``auto``/``serial``/``process``/
-            ``async``/``remote``) — see :class:`RunnerPolicy`.
+        runner: Backend name (``auto``/``serial``/``async``/
+            ``remote``) — see :class:`RunnerPolicy`.
         jobs: Concurrency bound for parallel backends.
         workers: Remote worker spec (``"host:port,..."`` or
             ``"local:N"``); implies the remote backend under ``auto``.
@@ -525,7 +525,7 @@ class Session:
             cache_stats = dict(profile.cache_stats)
             workers = dict(profile.scheduler.slots)
         else:
-            # Serial/process backends keep no scheduler profile; the
+            # The serial backend keeps no scheduler profile; the
             # batch's cache traffic is still observable as a delta.
             cache_stats = {
                 key: value - stats_before.get(key, 0)

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--runner",
-        choices=["auto", "serial", "process", "async", "remote"],
+        choices=["auto", "serial", "async", "remote"],
         default="auto",
         help="execution backend (auto: remote when --workers is given, "
         "async shard graph when --jobs>1 or under --profile, else "

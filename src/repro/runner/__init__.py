@@ -4,11 +4,11 @@ The subsystem every results-surface interface goes through:
 
 * :mod:`repro.runner.registry` — declarative :class:`Experiment` specs,
   one per paper table/figure, in a decorator-based global registry;
-* :mod:`repro.runner.serial` / :mod:`repro.runner.parallel` /
-  :mod:`repro.runner.async_graph` — execution backends behind the
-  :class:`BaseRunner` capability-declaring API (the async backend
-  schedules a shard-level dependency graph across all requests, with
-  thread, process, or remote-worker executors);
+* :mod:`repro.runner.serial` / :mod:`repro.runner.async_graph` —
+  execution backends behind the :class:`BaseRunner` capability-declaring
+  API (the serial oracle, and the graph runner that schedules a
+  shard-level dependency graph across all requests, with thread,
+  process, or remote-worker executors);
 * :mod:`repro.runner.remote` — the remote-worker protocol
   (``repro worker`` server, :class:`RemoteExecutor` coordinator side);
 * :mod:`repro.runner.cache` — content-keyed memoization of house
@@ -17,9 +17,9 @@ The subsystem every results-surface interface goes through:
 
 Typical use::
 
-    from repro.runner import ProcessPoolRunner, RunRequest
+    from repro.runner import AsyncShardRunner, RunRequest
 
-    runner = ProcessPoolRunner(jobs=8)
+    runner = AsyncShardRunner(jobs=8, executor="process")
     outcomes = runner.run([RunRequest.for_days("tab5", days=12), "fig3"])
     text = outcomes[0].rendered
 
@@ -46,7 +46,6 @@ from repro.runner.cache import (
     get_cache,
     set_cache,
 )
-from repro.runner.parallel import ProcessPoolRunner
 from repro.runner.remote import (
     LocalWorkerPool,
     RemoteExecutor,
@@ -82,8 +81,8 @@ def build_runner(
     ``cache`` (optional) becomes the runner's private cache instead of
     the process-global one.  ``cost_model`` (optional) gives the graph
     backends historical task-duration estimates so ready tasks are
-    dispatched longest-critical-path-first; the serial and process-pool
-    backends have no scheduling freedom and ignore it.
+    dispatched longest-critical-path-first; the serial backend has no
+    scheduling freedom and ignores it.
     """
     policy = policy if policy is not None else RunnerPolicy()
     backend = policy.resolved_backend()
@@ -97,8 +96,6 @@ def build_runner(
         )
     if backend == "serial":
         return SerialRunner(cache=cache)
-    if backend == "process":
-        return ProcessPoolRunner(jobs=policy.jobs, cache=cache)
     return AsyncShardRunner(
         jobs=policy.jobs,
         executor="process" if policy.jobs > 1 else "thread",
@@ -116,7 +113,6 @@ __all__ = [
     "Experiment",
     "LocalWorkerPool",
     "Param",
-    "ProcessPoolRunner",
     "RemoteExecutor",
     "RemoteTaskError",
     "RunOutcome",

@@ -16,10 +16,10 @@ Three executors are available:
   cost; this is also the mode whose cache telemetry a test can observe
   in-process.
 * ``"process"`` — work units are forwarded to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (workers configured
-  like :class:`~repro.runner.parallel.ProcessPoolRunner`'s) for real
-  multi-core scaling; prepare stages warm the shared disk tier so other
-  workers load instead of recomputing.
+  :class:`~concurrent.futures.ProcessPoolExecutor` (each worker's cache
+  configured like the coordinator's) for real multi-core scaling;
+  prepare stages warm the shared disk tier so other workers load
+  instead of recomputing.
 * ``"remote"`` — work units are serialized (via
   :mod:`repro.core.serialization`) and shipped to ``repro worker``
   processes, possibly on other hosts, through
@@ -42,6 +42,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -279,11 +280,7 @@ class AsyncShardRunner(BaseRunner):
     @property
     def capabilities(self) -> RunnerCapabilities:
         return RunnerCapabilities(
-            name=f"async-graph[{self.executor}]",
-            parallel=self.jobs > 1 or self.executor == "remote",
-            max_workers=self.jobs,
-            shard_fanout=True,
-            async_graph=True,
+            name=f"async-graph[{self.executor}]", max_workers=self.jobs
         )
 
     # ------------------------------------------------------------------
@@ -501,79 +498,54 @@ class AsyncShardRunner(BaseRunner):
     def _dispatch(self, tasks: list[Task]) -> tuple[dict, SchedulerProfile]:
         """Execute the graph under this runner's executor; returns the
         scheduler results and the run's profile."""
-        if self.executor == "thread":
-            emit(WorkerLeased(worker="local", capacity=self.jobs))
+        with ExitStack() as stack:
+            remote = self._open_remote(stack)
+            if remote is None:
+                emit(WorkerLeased(worker="local", capacity=self.jobs))
             scheduler = self._track(
                 GraphScheduler(
-                    jobs=self.jobs,
+                    slots=remote.slots if remote is not None else {"local": self.jobs},
                     execute=self._execute_task,
                     pass_worker=True,
                     cost_model=self.cost_model,
                 )
             )
-            return self._scheduler_run(scheduler, tasks), scheduler.profile
-        if self.executor == "process":
-            emit(WorkerLeased(worker="local", capacity=self.jobs))
-            scheduler = self._track(
-                GraphScheduler(
-                    jobs=self.jobs,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
+            if self.executor == "process":
+                disk_dir = str(self.cache.disk_dir) if self.cache.disk_dir else None
+                self._pool = stack.enter_context(
+                    ProcessPoolExecutor(
+                        max_workers=self.jobs,
+                        initializer=_init_worker,
+                        initargs=(disk_dir, self.cache.memory_enabled),
+                    )
                 )
-            )
-            disk_dir = str(self.cache.disk_dir) if self.cache.disk_dir else None
-            with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(disk_dir, self.cache.memory_enabled),
-            ) as pool:
-                self._pool = pool
-                try:
-                    return self._scheduler_run(scheduler, tasks), scheduler.profile
-                finally:
-                    self._pool = None
-        if self._injected_remote is not None:
-            # An externally owned executor (the service control plane):
-            # already started, stays open after the run.
-            remote = self._injected_remote
-            scheduler = self._track(
-                GraphScheduler(
-                    slots=remote.slots,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
             self._remote = remote
             try:
                 return self._scheduler_run(scheduler, tasks), scheduler.profile
             finally:
-                scheduler.profile.worker_connects = dict(remote.connects)
+                self._pool = None
                 self._remote = None
+                if remote is not None:
+                    # Persistent-connection telemetry: how many TCP dials
+                    # the run actually needed (~capacity per worker when
+                    # pooling works; ~task count means reconnect churn).
+                    scheduler.profile.worker_connects = dict(remote.connects)
+
+    def _open_remote(self, stack: ExitStack) -> Any:
+        """The remote executor this run dispatches to, or ``None`` for
+        the thread and process executors.  An injected executor (the
+        service control plane's) is already started and outlives the
+        run; an owned one is opened here and closed with ``stack``."""
+        if self.executor != "remote":
+            return None
+        if self._injected_remote is not None:
+            return self._injected_remote
         # Imported lazily: remote.py imports this module's payload
         # helpers for the worker side.
         from repro.runner.remote import RemoteExecutor
 
         assert self.workers is not None
-        with RemoteExecutor(self.workers, cache=self.cache) as remote:
-            scheduler = self._track(
-                GraphScheduler(
-                    slots=remote.slots,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
-            self._remote = remote
-            try:
-                return self._scheduler_run(scheduler, tasks), scheduler.profile
-            finally:
-                # Persistent-connection telemetry: how many TCP dials
-                # the run actually needed (~capacity per worker when
-                # pooling works; ~task count means reconnect churn).
-                scheduler.profile.worker_connects = dict(remote.connects)
-                self._remote = None
+        return stack.enter_context(RemoteExecutor(self.workers, cache=self.cache))
 
     def _scheduler_run(self, scheduler: GraphScheduler, tasks: list[Task]) -> dict:
         if self.on_scheduler is not None:
@@ -612,7 +584,7 @@ class AsyncShardRunner(BaseRunner):
             started = time.perf_counter()
             value = exp.merge(params, shards, parts)
             # Merge outcomes carry the *compute* seconds of their
-            # shards, matching ProcessPoolRunner's accounting.
+            # shards, not the wall time the scheduler spent on them.
             shard_seconds = sum(deps[key][1] for key in ordered)
             return value, shard_seconds + time.perf_counter() - started
         if self._remote is not None:

@@ -35,11 +35,7 @@ class RunnerCapabilities:
     """What an execution backend supports."""
 
     name: str
-    parallel: bool = False
     max_workers: int = 1
-    shard_fanout: bool = False
-    deterministic_order: bool = True
-    async_graph: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class RunnerPolicy:
     workers: str | None = None
     profile: bool = False
 
-    _BACKENDS = ("auto", "serial", "process", "async", "remote")
+    _BACKENDS = ("auto", "serial", "async", "remote")
 
     def __post_init__(self) -> None:
         if self.backend not in self._BACKENDS:

@@ -41,9 +41,8 @@ def fresh_cache(tmp_path):
 
 def test_capabilities_declare_async_graph():
     caps = AsyncShardRunner(jobs=4).capabilities
-    assert caps.async_graph and caps.parallel and caps.shard_fanout
-    assert caps.max_workers == 4
-    assert not SerialRunner().capabilities.async_graph
+    assert (caps.name, caps.max_workers) == ("async-graph[thread]", 4)
+    assert SerialRunner().capabilities.name == "serial"
 
 
 def test_async_matches_serial_byte_for_byte():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runner import (
-    ProcessPoolRunner,
+    AsyncShardRunner,
     RunRequest,
     SerialRunner,
     cache_disabled,
@@ -25,13 +25,13 @@ def _requests():
 
 def test_capabilities_declared():
     serial = SerialRunner().capabilities
-    assert serial.name == "serial" and not serial.parallel
-    pool = ProcessPoolRunner(jobs=3).capabilities
-    assert pool.parallel and pool.shard_fanout and pool.max_workers == 3
+    assert (serial.name, serial.max_workers) == ("serial", 1)
+    graph = AsyncShardRunner(jobs=3, executor="process").capabilities
+    assert (graph.name, graph.max_workers) == ("async-graph[process]", 3)
 
 
 def test_serial_matches_direct_invocation():
-    from repro.analysis.experiments import run_fig6
+    from repro.runner.experiments import run_fig6
 
     with cache_disabled():
         outcome = SerialRunner().run_one("fig6", params={"n_days": 5, "seed": 3})
@@ -56,7 +56,7 @@ def test_parallel_matches_serial_byte_for_byte():
     with cache_disabled():
         serial = SerialRunner().run(_requests())
     with cache_disabled():
-        parallel = ProcessPoolRunner(jobs=2).run(_requests())
+        parallel = AsyncShardRunner(jobs=2, executor="process").run(_requests())
     assert [o.name for o in parallel] == [o.name for o in serial]
     for s, p in zip(serial, parallel):
         assert p.rendered == s.rendered, f"{s.name} diverged under parallelism"
@@ -71,7 +71,7 @@ def test_parallel_matches_serial_byte_for_byte():
 @pytest.mark.slow
 def test_parallel_string_requests_resolve_defaults():
     with cache_disabled():
-        outcome = ProcessPoolRunner(jobs=2).run_one(
+        outcome = AsyncShardRunner(jobs=2, executor="process").run_one(
             "fig4",
             params={"n_days": 4, "min_pts_values": [3, 6], "k_values": [2, 4]},
         )

@@ -73,11 +73,19 @@ def test_vector_rejects_bad_version():
         attack_vector_from_dict(payload)
 
 
-def test_vector_rejects_missing_field():
-    payload = attack_vector_to_dict(_vector())
-    del payload["delta_co2"]
-    with pytest.raises(ConfigurationError):
-        attack_vector_from_dict(payload)
+@pytest.mark.parametrize(
+    "to_dict, from_dict, make, field",
+    [
+        (attack_vector_to_dict, attack_vector_from_dict, _vector, "delta_co2"),
+        (attack_report_to_dict, attack_report_from_dict, _report, "adm_backend"),
+    ],
+    ids=["vector", "report"],
+)
+def test_codec_rejects_missing_field(to_dict, from_dict, make, field):
+    payload = to_dict(make())
+    del payload[field]
+    with pytest.raises(ConfigurationError, match=field):
+        from_dict(payload)
 
 
 def test_report_dict_round_trip():
