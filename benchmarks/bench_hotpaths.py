@@ -1,11 +1,12 @@
 """Hot-path kernel benchmark: scalar reference vs vectorized engines.
 
-Times the three kernels the vectorization PR targets — SHATTER schedule
-synthesis, the closed-loop simulator, and ADM fit/containment — running
-each workload through its *scalar reference* path and its *vectorized*
-path, verifying the outputs agree exactly, and writing the measured
-speedups to ``BENCH_hotpaths.json`` at the repository root (the
-committed file documents the speedups on the reference machine).
+Times the hot kernels — SHATTER schedule synthesis, the closed-loop
+simulator, attack execution, BIoTA's greedy spoof, and ADM
+fit/containment — running each workload through its *scalar reference*
+path and its *vectorized* path, verifying the outputs agree exactly,
+and writing the measured speedups to ``BENCH_hotpaths.json`` at the
+repository root (the committed file documents the speedups on the
+reference machine).
 
 Usage::
 
@@ -50,6 +51,8 @@ from repro.home.builder import build_house_a  # noqa: E402
 from repro.hvac.controller import DemandControlledHVAC  # noqa: E402
 from repro.hvac.pricing import TouPricing  # noqa: E402
 from repro.hvac.simulation import simulate, simulate_reference  # noqa: E402
+from repro.oracles.biota import biota_greedy_attack_reference  # noqa: E402
+from repro.oracles.realtime import execute_attack_reference  # noqa: E402
 
 # Acceptance targets for the non-smoke run (see ISSUE 3 / ISSUE 6 /
 # ISSUE 8).
@@ -58,6 +61,8 @@ TARGET_SIMULATE_SPEEDUP = 3.0
 TARGET_SCHEDULE_BATCH_SPEEDUP = 8.0
 TARGET_CODEC_SPEEDUP = 5.0
 TARGET_FLEET_RSS_RATIO = 1.5
+TARGET_EXECUTE_ATTACK_SPEEDUP = 3.0
+TARGET_BIOTA_SPEEDUP = 5.0
 
 
 def _best_of(rounds: int, fn):
@@ -83,6 +88,25 @@ def _results_equal(a, b) -> bool:
     return all(
         np.array_equal(getattr(a, f), getattr(b, f))
         for f in ("airflow_cfm", "co2_ppm", "temperature_f", "hvac_kwh", "appliance_kwh")
+    )
+
+
+def _outcomes_equal(a, b) -> bool:
+    vector_fields = (
+        "spoofed_zone",
+        "spoofed_activity",
+        "delta_co2",
+        "delta_temperature",
+        "triggered",
+    )
+    return (
+        _results_equal(a.result, b.result)
+        and all(
+            np.array_equal(getattr(a.vector, f), getattr(b.vector, f))
+            for f in vector_fields
+        )
+        and a.trigger_decisions == b.trigger_decisions
+        and a.applied_visit_fraction == b.applied_visit_fraction
     )
 
 
@@ -303,6 +327,67 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
+    # --- execute_attack and BIoTA (3 evaluation days; 1 in smoke) -------
+    from repro.attack.biota import biota_greedy_attack
+    from repro.attack.realtime import execute_attack
+
+    attack_days = 1 if smoke else 3
+    attack_trace = generate_house_trace(
+        home, house="A", config=SyntheticConfig(n_days=3 + attack_days, seed=9)
+    )
+    attack_train, attack_eval = split_days(attack_trace, 3)
+    attack_adm = ClusterADM(adm_params).fit(attack_train, home.n_zones)
+    attack_schedule = shatter_schedule(
+        home, attack_adm, capability, pricing, attack_eval
+    )
+
+    def run_execute(fn):
+        return fn(
+            home,
+            controller,
+            attack_eval,
+            attack_schedule,
+            capability,
+            adm=attack_adm,
+        )
+
+    before_s, oracle_outcome = _best_of(
+        rounds, lambda: run_execute(execute_attack_reference)
+    )
+    after_s, kernel_outcome = _best_of(rounds, lambda: run_execute(execute_attack))
+    assert _outcomes_equal(oracle_outcome, kernel_outcome)
+    results["execute_attack"] = {
+        "workload": (
+            f"ARAS-A, {attack_days}-day triggered attack, per-slot oracle "
+            "loop vs simulate on the shadow trace + open-loop plant"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+    }
+
+    before_s, oracle_biota = _best_of(
+        rounds,
+        lambda: biota_greedy_attack_reference(
+            home, capability, pricing, attack_eval
+        ),
+    )
+    after_s, kernel_biota = _best_of(
+        rounds,
+        lambda: biota_greedy_attack(home, capability, pricing, attack_eval),
+    )
+    assert _schedules_equal(oracle_biota, kernel_biota)
+    assert type(oracle_biota.expected_reward) is type(kernel_biota.expected_reward)
+    results["biota_greedy_attack"] = {
+        "workload": (
+            f"ARAS-A, {attack_days} evaluation day(s), full access, per-slot "
+            "oracle loop vs per-(occupant, day) ranked pick"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+    }
+
     # --- artifact codec (base64-pickle JSON vs binary frames) -----------
     from repro.core.serialization import (
         _pickle_tag,
@@ -415,6 +500,8 @@ def main(argv: list[str] | None = None) -> int:
             "simulate": TARGET_SIMULATE_SPEEDUP,
             "artifact_codec": TARGET_CODEC_SPEEDUP,
             "fleet_peak_rss_ratio": TARGET_FLEET_RSS_RATIO,
+            "execute_attack": TARGET_EXECUTE_ATTACK_SPEEDUP,
+            "biota_greedy_attack": TARGET_BIOTA_SPEEDUP,
         },
         "results": results,
     }
@@ -457,6 +544,16 @@ def main(argv: list[str] | None = None) -> int:
         if codec_x < TARGET_CODEC_SPEEDUP:
             print(f"FAIL: artifact_codec speedup {codec_x:.2f}x < "
                   f"{TARGET_CODEC_SPEEDUP}x")
+            return 1
+        execute_x = results["execute_attack"]["speedup"]
+        if execute_x < TARGET_EXECUTE_ATTACK_SPEEDUP:
+            print(f"FAIL: execute_attack speedup {execute_x:.2f}x < "
+                  f"{TARGET_EXECUTE_ATTACK_SPEEDUP}x")
+            return 1
+        biota_x = results["biota_greedy_attack"]["speedup"]
+        if biota_x < TARGET_BIOTA_SPEEDUP:
+            print(f"FAIL: biota_greedy_attack speedup {biota_x:.2f}x < "
+                  f"{TARGET_BIOTA_SPEEDUP}x")
             return 1
         rss_ratio = results["fleet_peak_rss"]["ratio"]
         if rss_ratio > TARGET_FLEET_RSS_RATIO:

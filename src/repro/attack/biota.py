@@ -91,6 +91,11 @@ def biota_greedy_attack(
     re-reported in the most rewarding accessible zone (respecting
     capacity); occupants actually outside stay outside (the entrance
     count rule pins them).
+
+    Occupants are placed one after another, so later occupants see the
+    headcounts earlier spoofs left; within one (occupant, day) the
+    slots are independent and are decided together.  The per-slot
+    original is :mod:`repro.oracles.biota`.
     """
     rules = rules or BiotaRules()
     controller_config = controller_config or ControllerConfig()
@@ -109,47 +114,65 @@ def biota_greedy_attack(
             expected_reward=0.0,
         )
 
+    zone_ids = np.array(zones)
+    attackable = capability.attackable_slots(n_slots)
+    spoofable = capability.spoofable_zones(home.n_zones)
+    # Python-float left fold over the picked rewards in (occupant, day,
+    # slot) order; it becomes a numpy float64 once anything is added,
+    # exactly as accumulating the table's float64 entries would.
     total_reward = 0.0
+    picked_any = False
     n_days = n_slots // MINUTES_PER_DAY
     for occupant in home.occupants:
-        if occupant.occupant_id not in capability.occupants:
+        occupant_id = occupant.occupant_id
+        if occupant_id not in capability.occupants:
             continue
         for day in range(n_days):
             day_start = day * MINUTES_PER_DAY
+            day_slots = slice(day_start, day_start + MINUTES_PER_DAY)
+            actual = actual_trace.occupant_zone[day_slots, occupant_id]
+            # Outside stays outside: the entrance count rule pins them.
+            eligible = attackable[day_slots] & (actual != 0) & spoofable[actual]
+            if not eligible.any():
+                continue
             rewards, best_activity = _day_rewards(
                 home,
-                occupant.occupant_id,
+                occupant_id,
                 zones,
                 pricing,
                 controller_config,
                 config,
                 day_start,
             )
-            for offset in range(MINUTES_PER_DAY):
-                t = day_start + offset
-                if not capability.can_attack_slot(t):
-                    continue
-                actual = int(actual_trace.occupant_zone[t, occupant.occupant_id])
-                if actual == 0:
-                    continue  # entrance count rule pins them outside
-                if not capability.can_spoof_zone(actual):
-                    continue
-                # Best zone with remaining capacity this slot.
-                for zone in sorted(zones, key=lambda z: -rewards[z, offset]):
-                    already = int((spoofed_zone[t] == zone).sum())
-                    occupied_here = (
-                        int(spoofed_zone[t, occupant.occupant_id]) == zone
-                    )
-                    if not occupied_here and already >= rules.zone_capacity:
-                        continue
-                    spoofed_zone[t, occupant.occupant_id] = zone
-                    spoofed_activity[t, occupant.occupant_id] = best_activity[zone]
-                    total_reward += rewards[zone, offset]
-                    break
+            # Zones best-first per slot; the stable sort keeps the
+            # capability's zone order among equal rewards.
+            ranking = np.argsort(-rewards[zone_ids], axis=0, kind="stable")
+            # Headcounts include earlier occupants' spoofs.  A zone is
+            # open if it has spare capacity or already holds this
+            # occupant.
+            current = spoofed_zone[day_slots]
+            headcount = (current[:, :, None] == zone_ids).sum(axis=1)
+            here = current[:, occupant_id, None] == zone_ids
+            is_open = (headcount < rules.zone_capacity) | here
+            ranked_open = np.take_along_axis(is_open.T, ranking, axis=0)
+            picked = np.flatnonzero(eligible & ranked_open.any(axis=0))
+            if not len(picked):
+                continue
+            first = ranked_open[:, picked].argmax(axis=0)
+            picked_zones = zone_ids[ranking[first, picked]]
+            spoofed_zone[day_start + picked, occupant_id] = picked_zones
+            for zone in np.unique(picked_zones).tolist():
+                rows = picked[picked_zones == zone]
+                spoofed_activity[day_start + rows, occupant_id] = (
+                    best_activity[zone]
+                )
+            for value in rewards[picked_zones, picked].tolist():
+                total_reward += value
+            picked_any = True
     return AttackSchedule(
         spoofed_zone=spoofed_zone,
         spoofed_activity=spoofed_activity,
-        expected_reward=total_reward,
+        expected_reward=np.float64(total_reward) if picked_any else 0.0,
     )
 
 

@@ -9,7 +9,7 @@ exactly these sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,20 @@ class AttackerCapability:
             return True
         return self.slot_range[0] <= slot < self.slot_range[1]
 
+    def attackable_slots(self, n_slots: int) -> np.ndarray:
+        """:meth:`can_attack_slot` over ``range(n_slots)``, ``[n_slots]``."""
+        slots = np.arange(n_slots)
+        if self.slot_range is None:
+            return np.ones(n_slots, dtype=bool)
+        return (self.slot_range[0] <= slots) & (slots < self.slot_range[1])
+
     def can_spoof_zone(self, zone_id: int) -> bool:
         """Whether the attacker can place a phantom occupant in a zone."""
         return zone_id == 0 or zone_id in self.zones
+
+    def spoofable_zones(self, n_ids: int) -> np.ndarray:
+        """:meth:`can_spoof_zone` over zone ids ``range(n_ids)``, ``[n_ids]``."""
+        return np.array([self.can_spoof_zone(z) for z in range(n_ids)], dtype=bool)
 
     def schedulable_zones(self, home: SmartHome) -> list[int]:
         """Zones the scheduler may report occupants in (Outside first)."""

@@ -6,17 +6,31 @@ spoofed visit is applied only if the attacker can reach both the real
 zone and the claimed zone of every slot it covers (the paper's
 feasibility condition); otherwise the visit falls back to reality.
 
-The executor then runs the plant with a *shadow model*: the controller
-is fed IAQ measurements forward-simulated under the spoofed story
-(which is exactly what Eqs. 14-15 require of a consistent FDI vector —
-the spoofed CO2/temperature must follow the model's predictions), while
-the physical zones evolve under the true occupants, true appliances,
-and the airflow the deceived controller actually commands.  The
-difference between shadow and true IAQ is the δ the attacker injects.
+The plant then runs with a *shadow model*.  The controller is fed IAQ
+measurements forward-simulated under the spoofed story (exactly what
+Eqs. 14-15 require of a consistent FDI vector: the spoofed CO2 and
+temperature must follow the model's predictions).  Because the
+controller reads only that shadow plant, the shadow run *is* a
+closed-loop simulation of the *shadow trace* — the applied spoofed
+occupancy and activities, with the real appliance status plus the
+triggered appliances — so :func:`~repro.hvac.simulation.simulate`
+produces the commanded airflow, the energy meters and the shadow
+CO2/temperature in one kernel call.
+
+The physical zones evolve under the true occupants, the true (and
+triggered) appliances, and that airflow.  Given the airflow, the true
+plant is open loop: :func:`_drive_plant` steps each conditioned zone's
+recurrence on its own.  The difference between shadow and true IAQ is
+the δ the attacker injects.
+
+The original implementation, which stepped both plants minute by minute
+with one ``controller.decide`` call per slot, is preserved in
+:mod:`repro.oracles.realtime`; the two agree array for array.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +40,19 @@ from repro.attack.model import AttackerCapability, AttackVector
 from repro.attack.schedule import AttackSchedule
 from repro.attack.trigger import TriggerDecision, appliance_triggering_decisions
 from repro.errors import AttackError
+from repro.events.dispatch import ATTACK_EXECUTION, record_kernel
 from repro.home.builder import SmartHome
 from repro.home.state import HomeTrace
+from repro.hvac.controller import ControllerConfig
 from repro.hvac.pricing import TouPricing
-from repro.hvac.simulation import OutdoorConditions, SimulationResult
-from repro.units import SENSIBLE_HEAT_FACTOR, WATT_MINUTES_PER_KWH
+from repro.hvac.simulation import (
+    OutdoorConditions,
+    SimulationResult,
+    appliance_gain_tables,
+    occupant_gain_matrices,
+    simulate,
+)
+from repro.units import SENSIBLE_HEAT_FACTOR
 
 
 @dataclass
@@ -69,46 +91,43 @@ def _apply_visit_feasibility(
     of both the actual zone and the claimed zone and the slot is inside
     ``T^A``.  Rejected visits revert to the actual behaviour, keeping
     granularity at visit level so the reported stream stays
-    visit-consistent.
+    visit-consistent.  Runs are found and judged per occupant with
+    segment reductions (``reduceat``) over per-slot masks.
     """
-    applied_zone = actual_trace.occupant_zone.copy()
-    applied_activity = actual_trace.occupant_activity.copy()
+    actual_zone = actual_trace.occupant_zone
+    actual_activity = actual_trace.occupant_activity
+    applied_zone = actual_zone.copy()
+    applied_activity = actual_activity.copy()
     n_slots, n_occupants = applied_zone.shape
+    if applied_zone.size == 0:
+        return applied_zone, applied_activity, 1.0
+    attackable = capability.attackable_slots(n_slots)
+    spoofable = capability.spoofable_zones(
+        int(max(actual_zone.max(), schedule.spoofed_zone.max())) + 1
+    )
     scheduled_visits = 0
     applied_visits = 0
     for occupant in range(n_occupants):
         if occupant not in capability.occupants:
             continue
         spoofed = schedule.spoofed_zone[:, occupant]
-        start = 0
-        while start < n_slots:
-            end = start
-            zone = int(spoofed[start])
-            while end < n_slots and int(spoofed[end]) == zone:
-                end += 1
-            changes = any(
-                int(actual_trace.occupant_zone[t, occupant]) != zone
-                or int(actual_trace.occupant_activity[t, occupant])
-                != int(schedule.spoofed_activity[t, occupant])
-                for t in range(start, end)
-            )
-            if changes:
-                scheduled_visits += 1
-                feasible = all(
-                    capability.can_attack_slot(t)
-                    and capability.can_spoof_zone(zone)
-                    and capability.can_spoof_zone(
-                        int(actual_trace.occupant_zone[t, occupant])
-                    )
-                    for t in range(start, end)
-                )
-                if feasible:
-                    applied_visits += 1
-                    applied_zone[start:end, occupant] = zone
-                    applied_activity[start:end, occupant] = (
-                        schedule.spoofed_activity[start:end, occupant]
-                    )
-            start = end
+        spoofed_activity = schedule.spoofed_activity[:, occupant]
+        starts = np.flatnonzero(
+            np.concatenate(([True], spoofed[1:] != spoofed[:-1]))
+        )
+        differs = (actual_zone[:, occupant] != spoofed) | (
+            actual_activity[:, occupant] != spoofed_activity
+        )
+        reachable = (
+            attackable & spoofable[spoofed] & spoofable[actual_zone[:, occupant]]
+        )
+        changes = np.logical_or.reduceat(differs, starts)
+        feasible = changes & np.logical_and.reduceat(reachable, starts)
+        scheduled_visits += int(changes.sum())
+        applied_visits += int(feasible.sum())
+        rows = np.repeat(feasible, np.diff(np.append(starts, n_slots)))
+        applied_zone[rows, occupant] = spoofed[rows]
+        applied_activity[rows, occupant] = spoofed_activity[rows]
     fraction = applied_visits / scheduled_visits if scheduled_visits else 1.0
     return applied_zone, applied_activity, fraction
 
@@ -141,9 +160,14 @@ def execute_attack(
 
     Returns:
         The outcome with vector, plant result, and diagnostics.
+
+    Raises:
+        AttackError: Triggering is enabled without an ADM.
+        ControlError: A per-slot outdoor profile is shorter than the span.
     """
+    started = time.perf_counter()
     outdoor = outdoor or OutdoorConditions()
-    config = controller.config
+    outdoor_temps = outdoor.temperature_array(actual_trace.n_slots)
     applied_zone, applied_activity, fraction = _apply_visit_feasibility(
         schedule, actual_trace, capability
     )
@@ -166,134 +190,54 @@ def execute_attack(
         )
         decisions = []
 
-    # Triggered appliances really turn on: they join the physical trace.
-    physical = actual_trace.copy()
-    physical.appliance_status |= triggered
+    # Triggered appliances really turn on: both plants see them.
+    status = actual_trace.appliance_status | triggered
+    own_seconds = time.perf_counter() - started
 
-    n_slots, n_zones = actual_trace.n_slots, home.n_zones
-    true_co2 = np.full(n_zones, outdoor.co2_ppm, dtype=float)
-    true_temp = np.full(n_zones, config.temperature_setpoint_f, dtype=float)
-    shadow_co2 = true_co2.copy()
-    shadow_temp = true_temp.copy()
+    # The controller sees the spoofed story end to end: shadow IAQ,
+    # spoofed occupancy/activity, and the (attacked) appliance status.
+    shadow = simulate(
+        home,
+        HomeTrace(applied_zone, applied_activity, status),
+        controller,
+        outdoor=outdoor,
+        start_slot=start_slot,
+    )
 
-    airflow_out = np.zeros((n_slots, n_zones))
-    co2_out = np.zeros((n_slots, n_zones))
-    temp_out = np.zeros((n_slots, n_zones))
-    delta_co2 = np.zeros((n_slots, n_zones))
-    delta_temp = np.zeros((n_slots, n_zones))
-    hvac_kwh = np.zeros(n_slots)
-    appliance_kwh = np.zeros(n_slots)
-
-    appliance_heat_by_zone = np.zeros((home.n_appliances, n_zones))
-    appliance_watts = np.zeros(home.n_appliances)
-    for appliance in home.appliances:
-        appliance_heat_by_zone[appliance.appliance_id, appliance.zone_id] = (
-            appliance.heat_watts
-        )
-        appliance_watts[appliance.appliance_id] = appliance.power_watts
-
-    conditioned = home.layout.conditioned_ids
-    volumes = np.array([zone.volume_ft3 for zone in home.layout])
-
-    def gains(zone_of, activity_of, status):
-        emission = np.zeros(n_zones)
-        heat = np.zeros(n_zones)
-        for occupant in home.occupants:
-            zone = int(zone_of[occupant.occupant_id])
-            if zone == 0:
-                continue
-            activity = home.activities.by_id(
-                int(activity_of[occupant.occupant_id])
-            )
-            emission[zone] += occupant.co2_rate(activity.co2_ft3_per_min)
-            heat[zone] += occupant.heat_rate(activity.heat_watts)
-        heat += status.astype(float) @ appliance_heat_by_zone
-        return emission, heat
-
-    def physics_step(co2, temp, emission, heat, airflow, outdoor_temp):
-        for zone in conditioned:
-            volume = volumes[zone]
-            exchange = min(airflow[zone] / volume, 1.0)
-            co2[zone] = (
-                co2[zone]
-                + emission[zone] / volume * 1e6
-                - exchange * (co2[zone] - outdoor.co2_ppm)
-            )
-            capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
-            cooling = (
-                airflow[zone]
-                * SENSIBLE_HEAT_FACTOR
-                * (temp[zone] - config.supply_temperature_f)
-            )
-            leakage = config.envelope_conductance(volume) * (
-                outdoor_temp - temp[zone]
-            )
-            temp[zone] += (heat[zone] - cooling + leakage) / capacity
-
-    for t in range(n_slots):
-        outdoor_temp = outdoor.temperature_at(t)
-        # The controller sees the spoofed story end to end: shadow IAQ,
-        # spoofed occupancy/activity, and the (attacked) appliance status.
-        decision = controller.decide(
-            co2_ppm=shadow_co2,
-            temperature_f=shadow_temp,
-            reported_zone=applied_zone[t],
-            reported_activity=applied_activity[t],
-            appliance_status=physical.appliance_status[t],
-            outdoor_temperature_f=outdoor_temp,
-        )
-        airflow = decision.airflow_cfm
-
-        true_emission, true_heat = gains(
-            actual_trace.occupant_zone[t],
-            actual_trace.occupant_activity[t],
-            physical.appliance_status[t],
-        )
-        shadow_emission, shadow_heat = gains(
-            applied_zone[t], applied_activity[t], physical.appliance_status[t]
-        )
-
-        fresh = decision.fresh_fraction(config.minimum_fresh_fraction)
-        total_airflow = float(airflow.sum())
-        if total_airflow > 0:
-            return_temp = float((airflow * shadow_temp).sum() / total_airflow)
-        else:
-            return_temp = config.temperature_setpoint_f
-        mixed_temp = fresh * outdoor_temp + (1.0 - fresh) * return_temp
-        coil_delta = max(0.0, mixed_temp - config.supply_temperature_f)
-        hvac_kwh[t] = (
-            total_airflow * coil_delta * SENSIBLE_HEAT_FACTOR
-        ) / WATT_MINUTES_PER_KWH
-        appliance_kwh[t] = (
-            float(physical.appliance_status[t].astype(float) @ appliance_watts)
-            / WATT_MINUTES_PER_KWH
-        )
-
-        physics_step(true_co2, true_temp, true_emission, true_heat, airflow, outdoor_temp)
-        physics_step(
-            shadow_co2, shadow_temp, shadow_emission, shadow_heat, airflow, outdoor_temp
-        )
-
-        airflow_out[t] = airflow
-        co2_out[t] = true_co2
-        temp_out[t] = true_temp
-        delta_co2[t] = shadow_co2 - true_co2
-        delta_temp[t] = shadow_temp - true_temp
+    started = time.perf_counter()
+    emission, occupant_heat = occupant_gain_matrices(
+        home, actual_trace.occupant_zone, actual_trace.occupant_activity
+    )
+    appliance_heat, _, _ = appliance_gain_tables(home, status)
+    true_co2, true_temp = _drive_plant(
+        home,
+        controller.config,
+        shadow.airflow_cfm,
+        emission,
+        occupant_heat + appliance_heat,
+        outdoor.co2_ppm,
+        outdoor_temps,
+    )
 
     vector = AttackVector(
         spoofed_zone=applied_zone,
         spoofed_activity=applied_activity,
-        delta_co2=delta_co2,
-        delta_temperature=delta_temp,
+        delta_co2=shadow.co2_ppm - true_co2,
+        delta_temperature=shadow.temperature_f - true_temp,
         triggered=triggered,
     )
     result = SimulationResult(
-        airflow_cfm=airflow_out,
-        co2_ppm=co2_out,
-        temperature_f=temp_out,
-        hvac_kwh=hvac_kwh,
-        appliance_kwh=appliance_kwh,
+        airflow_cfm=shadow.airflow_cfm,
+        co2_ppm=true_co2,
+        temperature_f=true_temp,
+        hvac_kwh=shadow.hvac_kwh,
+        appliance_kwh=shadow.appliance_kwh,
         start_slot=start_slot,
+    )
+    # One attack_execution sample per call, excluding the nested
+    # simulate (timed as SIMULATION) so the two kernels never overlap.
+    record_kernel(
+        ATTACK_EXECUTION, own_seconds + time.perf_counter() - started
     )
     return AttackOutcome(
         vector=vector,
@@ -302,3 +246,63 @@ def execute_attack(
         trigger_decisions=decisions,
         applied_visit_fraction=fraction,
     )
+
+
+def _drive_plant(
+    home: SmartHome,
+    config: ControllerConfig,
+    airflow: np.ndarray,
+    emission: np.ndarray,
+    heat: np.ndarray,
+    outdoor_co2: float,
+    outdoor_temps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the physical zones under a known airflow, ``([T, Z], [T, Z])``.
+
+    With the airflow fixed the zones do not interact, so each
+    conditioned zone is one scalar recurrence over ``t``, evaluated with
+    the simulator's physics-step operation order (exchange clipped at
+    one volume per minute, then CO2, then temperature).  Inert zones
+    stay at the outdoor CO2 and the temperature setpoint.
+
+    Args:
+        home: The home (zone volumes, which zones are conditioned).
+        config: Controller configuration (thermal mass, envelope,
+            supply air, setpoint).
+        airflow: Commanded airflow per zone, ``[T, Z]``.
+        emission: True occupant CO2 generation, ``[T, Z]`` ft³/min.
+        heat: True occupant plus appliance heat, ``[T, Z]`` watts.
+        outdoor_co2: Outdoor CO2 concentration.
+        outdoor_temps: Outdoor temperature per slot, ``[T]``.
+
+    Returns:
+        The true CO2 and temperature trajectories.
+    """
+    n_slots, n_zones = airflow.shape
+    co2_out = np.full((n_slots, n_zones), float(outdoor_co2))
+    temp_out = np.full((n_slots, n_zones), float(config.temperature_setpoint_f))
+    outdoor_list = outdoor_temps.tolist()
+    supply = config.supply_temperature_f
+    for zone in home.layout.conditioned_ids:
+        volume = float(home.layout[zone].volume_ft3)
+        capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
+        conductance = config.envelope_conductance(volume)
+        flow = airflow[:, zone]
+        exchange = np.minimum(flow / volume, 1.0).tolist()
+        generation = (emission[:, zone] / volume * 1e6).tolist()
+        cooling_rate = (flow * SENSIBLE_HEAT_FACTOR).tolist()
+        gains = heat[:, zone].tolist()
+        co2_path = [0.0] * n_slots
+        temp_path = [0.0] * n_slots
+        co2 = float(outdoor_co2)
+        temp = float(config.temperature_setpoint_f)
+        for t in range(n_slots):
+            co2 = co2 + generation[t] - exchange[t] * (co2 - outdoor_co2)
+            cooling = cooling_rate[t] * (temp - supply)
+            leakage = conductance * (outdoor_list[t] - temp)
+            temp = temp + (gains[t] - cooling + leakage) / capacity
+            co2_path[t] = co2
+            temp_path[t] = temp
+        co2_out[:, zone] = co2_path
+        temp_out[:, zone] = temp_path
+    return co2_out, temp_out

@@ -13,6 +13,13 @@ This rule is call-graph-aware where the greps could not be: inside
 ``attack/schedule.py`` the restricted internals may only be called from
 their designated callers (the engine dispatcher and the batch wave
 solver), not merely "somewhere in the file".
+
+Two more boundaries keep replaced loops from creeping back.  The
+``repro.oracles`` package preserves original scalar implementations for
+equivalence tests and benches only, so no module outside it may import
+it.  And ``attack/realtime.py`` never steps the controller itself: the
+shadow plant runs through the simulation kernel, which owns every
+``decide`` call.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ _BATCH_PRIVATE = (
 )
 _BATCH_INTERNAL_PREFIXES = ("_optimize_span", "_shatter_schedule_scalar")
 
+# The test-support package of preserved scalar loops.
+_ORACLES = "repro.oracles"
+
 
 @register
 class HotPathScalarCalls(Rule):
@@ -54,7 +64,8 @@ class HotPathScalarCalls(Rule):
     description = (
         "per-element geometry/DP calls must not be reachable from the "
         "batched schedule drivers; span-DP internals stay private to "
-        "attack/schedule.py"
+        "attack/schedule.py; library code never imports repro.oracles, "
+        "and attack/realtime.py leaves decide() to the simulation kernel"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -72,6 +83,10 @@ class HotPathScalarCalls(Rule):
             yield from self._check_fleet_attack(ctx)
         if ctx.match("adm/cluster_model.py"):
             yield from self._check_flag_visits(ctx)
+        if not ctx.in_package("oracles"):
+            yield from self._check_oracle_imports(ctx)
+        if ctx.match("attack/realtime.py"):
+            yield from self._check_realtime(ctx)
 
     def _check_schedule(self, ctx: FileContext) -> Iterator[Finding]:
         """Call-graph restrictions on the span-DP internals."""
@@ -149,3 +164,37 @@ class HotPathScalarCalls(Rule):
                         "containment kernel (benign_mask), not per-visit "
                         "is_benign_visit()",
                     )
+
+    def _check_oracle_imports(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+                if node.module == "repro":
+                    modules += [f"repro.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(
+                module == _ORACLES or module.startswith(_ORACLES + ".")
+                for module in modules
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "repro.oracles holds test-support reference loops; "
+                    "library code must not import it",
+                )
+
+    def _check_realtime(self, ctx: FileContext) -> Iterator[Finding]:
+        for call, _ in iter_calls_with_enclosing(ctx.tree):
+            if (
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr == "decide"
+            ):
+                yield self.finding(
+                    ctx,
+                    call,
+                    "attack execution must not step the controller itself; "
+                    "run the shadow plant through hvac.simulation.simulate",
+                )

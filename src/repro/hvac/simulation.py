@@ -203,7 +203,8 @@ def appliance_gain_tables(
             appliance.heat_watts
         )
         watts[appliance.appliance_id] = appliance.power_watts
-    unique, inverse = np.unique(status, axis=0, return_inverse=True)
+    first, inverse = _distinct_rows(status)
+    unique = status[first]
     plant_u = np.zeros((len(unique), n_zones))
     ctrl_u = np.zeros((len(unique), n_zones))
     kwh_u = np.zeros(len(unique))
@@ -215,6 +216,26 @@ def appliance_gain_tables(
             if row[appliance.appliance_id]:
                 ctrl_u[index, appliance.zone_id] += appliance.heat_watts
     return plant_u[inverse], ctrl_u[inverse], kwh_u[inverse]
+
+
+def _distinct_rows(status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence index of each distinct row and the row -> distinct
+    map, ``([U], [T])``.
+
+    Rows are bit-packed into fixed-width byte keys, so the dedup is a
+    1-D sort of opaque keys instead of ``np.unique(axis=0)``'s
+    lexicographic row sort.  A zero-width key is not a valid dtype: with
+    no appliances every row is the same empty row.
+    """
+    n_slots, width = status.shape
+    if width == 0:
+        return np.zeros(min(n_slots, 1), dtype=np.intp), np.zeros(
+            n_slots, dtype=np.intp
+        )
+    packed = np.ascontiguousarray(np.packbits(status, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,272 @@
+"""The per-minute attack-execution loop, kept as the equivalence oracle.
+
+:func:`repro.attack.realtime.execute_attack` runs the shadow plant
+through the simulation kernel and drives the true plant open loop; this
+module preserves the original implementation that steps both plants
+minute by minute with one ``controller.decide`` call per slot, and the
+visit-by-visit feasibility filter it ran first.  The equivalence tests
+and ``benchmarks/bench_hotpaths.py`` compare the two array for array;
+nothing in the library imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.adm.cluster_model import ClusterADM
+from repro.attack.model import AttackerCapability, AttackVector
+from repro.attack.realtime import AttackOutcome
+from repro.attack.schedule import AttackSchedule
+from repro.attack.trigger import appliance_triggering_decisions
+from repro.errors import AttackError
+from repro.home.builder import SmartHome
+from repro.home.state import HomeTrace
+from repro.hvac.simulation import OutdoorConditions, SimulationResult
+from repro.units import SENSIBLE_HEAT_FACTOR, WATT_MINUTES_PER_KWH
+
+
+def _apply_visit_feasibility(
+    schedule: AttackSchedule,
+    actual_trace: HomeTrace,
+    capability: AttackerCapability,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Filter scheduled visits by real-time accessibility.
+
+    A spoofed visit (a maximal run of one claimed zone) is applied only
+    if, at every slot it covers, the attacker can read/alter the sensors
+    of both the actual zone and the claimed zone and the slot is inside
+    ``T^A``.  Rejected visits revert to the actual behaviour, keeping
+    granularity at visit level so the reported stream stays
+    visit-consistent.
+    """
+    applied_zone = actual_trace.occupant_zone.copy()
+    applied_activity = actual_trace.occupant_activity.copy()
+    n_slots, n_occupants = applied_zone.shape
+    scheduled_visits = 0
+    applied_visits = 0
+    for occupant in range(n_occupants):
+        if occupant not in capability.occupants:
+            continue
+        spoofed = schedule.spoofed_zone[:, occupant]
+        start = 0
+        while start < n_slots:
+            end = start
+            zone = int(spoofed[start])
+            while end < n_slots and int(spoofed[end]) == zone:
+                end += 1
+            changes = any(
+                int(actual_trace.occupant_zone[t, occupant]) != zone
+                or int(actual_trace.occupant_activity[t, occupant])
+                != int(schedule.spoofed_activity[t, occupant])
+                for t in range(start, end)
+            )
+            if changes:
+                scheduled_visits += 1
+                feasible = all(
+                    capability.can_attack_slot(t)
+                    and capability.can_spoof_zone(zone)
+                    and capability.can_spoof_zone(
+                        int(actual_trace.occupant_zone[t, occupant])
+                    )
+                    for t in range(start, end)
+                )
+                if feasible:
+                    applied_visits += 1
+                    applied_zone[start:end, occupant] = zone
+                    applied_activity[start:end, occupant] = (
+                        schedule.spoofed_activity[start:end, occupant]
+                    )
+            start = end
+    fraction = applied_visits / scheduled_visits if scheduled_visits else 1.0
+    return applied_zone, applied_activity, fraction
+
+
+def execute_attack_reference(
+    home: SmartHome,
+    controller,
+    actual_trace: HomeTrace,
+    schedule: AttackSchedule,
+    capability: AttackerCapability,
+    adm: ClusterADM | None = None,
+    enable_triggering: bool = True,
+    outdoor: OutdoorConditions | None = None,
+    start_slot: int = 0,
+) -> AttackOutcome:
+    """Execute a schedule against the plant and assemble the δ vector.
+
+    Args:
+        home: The target home.
+        controller: The victim controller (``decide`` + ``config``).
+        actual_trace: Ground-truth behaviour over the attack span.
+        schedule: The pre-computed attack schedule.
+        capability: Accessibility constraints.
+        adm: The attacker's ADM, needed for Algorithm 1's ``minStay``;
+            required when ``enable_triggering``.
+        enable_triggering: Run the appliance-triggering attack on top of
+            the measurement-manipulation attack (Fig. 10's toggle).
+        outdoor: Weather.
+        start_slot: Absolute slot of the first sample (pricing phase).
+
+    Returns:
+        The outcome with vector, plant result, and diagnostics.
+    """
+    outdoor = outdoor or OutdoorConditions()
+    config = controller.config
+    applied_zone, applied_activity, fraction = _apply_visit_feasibility(
+        schedule, actual_trace, capability
+    )
+
+    if enable_triggering:
+        if adm is None:
+            raise AttackError("appliance triggering needs the attacker's ADM")
+        applied_schedule = AttackSchedule(
+            spoofed_zone=applied_zone,
+            spoofed_activity=applied_activity,
+            expected_reward=schedule.expected_reward,
+            infeasible_days=schedule.infeasible_days,
+        )
+        triggered, decisions = appliance_triggering_decisions(
+            home, adm, applied_schedule, actual_trace, capability
+        )
+    else:
+        triggered = np.zeros(
+            (actual_trace.n_slots, home.n_appliances), dtype=bool
+        )
+        decisions = []
+
+    # Triggered appliances really turn on: they join the physical trace.
+    physical = actual_trace.copy()
+    physical.appliance_status |= triggered
+
+    n_slots, n_zones = actual_trace.n_slots, home.n_zones
+    true_co2 = np.full(n_zones, outdoor.co2_ppm, dtype=float)
+    true_temp = np.full(n_zones, config.temperature_setpoint_f, dtype=float)
+    shadow_co2 = true_co2.copy()
+    shadow_temp = true_temp.copy()
+
+    airflow_out = np.zeros((n_slots, n_zones))
+    co2_out = np.zeros((n_slots, n_zones))
+    temp_out = np.zeros((n_slots, n_zones))
+    delta_co2 = np.zeros((n_slots, n_zones))
+    delta_temp = np.zeros((n_slots, n_zones))
+    hvac_kwh = np.zeros(n_slots)
+    appliance_kwh = np.zeros(n_slots)
+
+    appliance_heat_by_zone = np.zeros((home.n_appliances, n_zones))
+    appliance_watts = np.zeros(home.n_appliances)
+    for appliance in home.appliances:
+        appliance_heat_by_zone[appliance.appliance_id, appliance.zone_id] = (
+            appliance.heat_watts
+        )
+        appliance_watts[appliance.appliance_id] = appliance.power_watts
+
+    conditioned = home.layout.conditioned_ids
+    volumes = np.array([zone.volume_ft3 for zone in home.layout])
+
+    def gains(zone_of, activity_of, status):
+        emission = np.zeros(n_zones)
+        heat = np.zeros(n_zones)
+        for occupant in home.occupants:
+            zone = int(zone_of[occupant.occupant_id])
+            if zone == 0:
+                continue
+            activity = home.activities.by_id(
+                int(activity_of[occupant.occupant_id])
+            )
+            emission[zone] += occupant.co2_rate(activity.co2_ft3_per_min)
+            heat[zone] += occupant.heat_rate(activity.heat_watts)
+        heat += status.astype(float) @ appliance_heat_by_zone
+        return emission, heat
+
+    def physics_step(co2, temp, emission, heat, airflow, outdoor_temp):
+        for zone in conditioned:
+            volume = volumes[zone]
+            exchange = min(airflow[zone] / volume, 1.0)
+            co2[zone] = (
+                co2[zone]
+                + emission[zone] / volume * 1e6
+                - exchange * (co2[zone] - outdoor.co2_ppm)
+            )
+            capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
+            cooling = (
+                airflow[zone]
+                * SENSIBLE_HEAT_FACTOR
+                * (temp[zone] - config.supply_temperature_f)
+            )
+            leakage = config.envelope_conductance(volume) * (
+                outdoor_temp - temp[zone]
+            )
+            temp[zone] += (heat[zone] - cooling + leakage) / capacity
+
+    for t in range(n_slots):
+        outdoor_temp = outdoor.temperature_at(t)
+        # The controller sees the spoofed story end to end: shadow IAQ,
+        # spoofed occupancy/activity, and the (attacked) appliance status.
+        decision = controller.decide(
+            co2_ppm=shadow_co2,
+            temperature_f=shadow_temp,
+            reported_zone=applied_zone[t],
+            reported_activity=applied_activity[t],
+            appliance_status=physical.appliance_status[t],
+            outdoor_temperature_f=outdoor_temp,
+        )
+        airflow = decision.airflow_cfm
+
+        true_emission, true_heat = gains(
+            actual_trace.occupant_zone[t],
+            actual_trace.occupant_activity[t],
+            physical.appliance_status[t],
+        )
+        shadow_emission, shadow_heat = gains(
+            applied_zone[t], applied_activity[t], physical.appliance_status[t]
+        )
+
+        fresh = decision.fresh_fraction(config.minimum_fresh_fraction)
+        total_airflow = float(airflow.sum())
+        if total_airflow > 0:
+            return_temp = float((airflow * shadow_temp).sum() / total_airflow)
+        else:
+            return_temp = config.temperature_setpoint_f
+        mixed_temp = fresh * outdoor_temp + (1.0 - fresh) * return_temp
+        coil_delta = max(0.0, mixed_temp - config.supply_temperature_f)
+        hvac_kwh[t] = (
+            total_airflow * coil_delta * SENSIBLE_HEAT_FACTOR
+        ) / WATT_MINUTES_PER_KWH
+        appliance_kwh[t] = (
+            float(physical.appliance_status[t].astype(float) @ appliance_watts)
+            / WATT_MINUTES_PER_KWH
+        )
+
+        physics_step(true_co2, true_temp, true_emission, true_heat, airflow, outdoor_temp)
+        physics_step(
+            shadow_co2, shadow_temp, shadow_emission, shadow_heat, airflow, outdoor_temp
+        )
+
+        airflow_out[t] = airflow
+        co2_out[t] = true_co2
+        temp_out[t] = true_temp
+        delta_co2[t] = shadow_co2 - true_co2
+        delta_temp[t] = shadow_temp - true_temp
+
+    vector = AttackVector(
+        spoofed_zone=applied_zone,
+        spoofed_activity=applied_activity,
+        delta_co2=delta_co2,
+        delta_temperature=delta_temp,
+        triggered=triggered,
+    )
+    result = SimulationResult(
+        airflow_cfm=airflow_out,
+        co2_ppm=co2_out,
+        temperature_f=temp_out,
+        hvac_kwh=hvac_kwh,
+        appliance_kwh=appliance_kwh,
+        start_slot=start_slot,
+    )
+    return AttackOutcome(
+        vector=vector,
+        result=result,
+        applied_zone=applied_zone,
+        trigger_decisions=decisions,
+        applied_visit_fraction=fraction,
+    )

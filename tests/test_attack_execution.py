@@ -267,3 +267,20 @@ def test_attack_vector_shape_validation():
             delta_temperature=np.zeros((5, 3)),
             triggered=np.zeros((5, 2), dtype=bool),
         )
+
+
+@pytest.mark.parametrize("slot_range", [None, (3, 7), (0, 0)])
+def test_capability_masks_match_scalar_queries(setup, slot_range):
+    home = setup[0]
+    capability = AttackerCapability(
+        zones=frozenset({1, 3}),
+        occupants=frozenset({0}),
+        appliances=frozenset(),
+        slot_range=slot_range,
+    )
+    assert capability.attackable_slots(12).tolist() == [
+        capability.can_attack_slot(t) for t in range(12)
+    ]
+    assert capability.spoofable_zones(home.n_zones).tolist() == [
+        capability.can_spoof_zone(z) for z in range(home.n_zones)
+    ]

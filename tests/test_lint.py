@@ -81,6 +81,19 @@ def test_lock_discipline_names_the_lock_and_declaration():
     assert finding.path.endswith("runner/scheduler.py")
 
 
+def test_hot_path_guards_oracles_and_realtime_controller():
+    tree = FIXTURES / "hot_path" / "bad"
+    result = lint_paths([tree], select=["hot-path-scalar-calls"])
+    oracle_imports = sorted(
+        (Path(f.path).name, f.line)
+        for f in result.findings
+        if "repro.oracles" in f.message
+    )
+    assert oracle_imports == [("common.py", 3), ("common.py", 4), ("realtime.py", 4)]
+    (decide,) = [f for f in result.findings if "step the controller" in f.message]
+    assert decide.path.endswith("attack/realtime.py")
+
+
 # ---------------------------------------------------------------------------
 # engine mechanics
 

@@ -176,6 +176,34 @@ def test_profile_under_serial_runner_reports_full_telemetry(tmp_path, capsys):
     assert "Kernel profile" in out
 
 
+def test_profile_shows_attack_execution_beside_simulation(tmp_path, capsys):
+    # fig10 executes 4 attacks (2 houses x triggering on/off); each runs
+    # its shadow plant through the simulation kernel, and the 2 benign
+    # baselines add 2 more simulations.  The attack_execution kernel
+    # times only execute_attack's own work, outside the nested simulate.
+    assert main(
+        [
+            "run",
+            "fig10",
+            "--days",
+            "4",
+            "--profile",
+            "--runner",
+            "serial",
+            "--cache-dir",
+            str(tmp_path / "c"),
+        ]
+    ) == 0
+    out = capsys.readouterr().out
+    kernel_section = out.split("Kernel profile")[1]
+    calls = {
+        row.split()[0]: int(row.split()[1])
+        for row in kernel_section.splitlines()
+        if row.startswith(("attack_execution ", "simulation "))
+    }
+    assert calls == {"attack_execution": 4, "simulation": 6}
+
+
 def test_profile_reports_corrupt_counter(tmp_path, capsys):
     assert main(
         [

@@ -374,6 +374,49 @@ def test_gain_matrices_match_reference_loops(sim_world):
         assert np.array_equal(ctrl_heat[t], expected_ctrl)
 
 
+def _assert_appliance_tables_match_rows(home, status):
+    heat_by_zone = np.zeros((home.n_appliances, home.n_zones))
+    watts = np.zeros(home.n_appliances)
+    for appliance in home.appliances:
+        heat_by_zone[appliance.appliance_id, appliance.zone_id] = (
+            appliance.heat_watts
+        )
+        watts[appliance.appliance_id] = appliance.power_watts
+    plant_heat, ctrl_heat, kwh = appliance_gain_tables(home, status)
+    assert plant_heat.shape == ctrl_heat.shape == (len(status), home.n_zones)
+    assert kwh.shape == (len(status),)
+    for t in range(len(status)):
+        floats = status[t].astype(float)
+        assert np.array_equal(plant_heat[t], floats @ heat_by_zone)
+        assert kwh[t] == float(floats @ watts) / 60000.0
+        expected_ctrl = np.zeros(home.n_zones)
+        for appliance in home.appliances:
+            if status[t, appliance.appliance_id]:
+                expected_ctrl[appliance.zone_id] += appliance.heat_watts
+        assert np.array_equal(ctrl_heat[t], expected_ctrl)
+
+
+@pytest.mark.parametrize("n_appliances", [0, 1, 8, 11])
+def test_appliance_tables_dedup_any_appliance_count(sim_world, n_appliances):
+    """Rows are deduplicated by bit-packed keys: zero appliances (an
+    empty key) and counts that leave a partial last byte must price
+    every slot exactly as the per-row formulas do."""
+    import dataclasses
+
+    from repro.home.appliances import ApplianceCatalog
+
+    home, _ = sim_world
+    home = dataclasses.replace(
+        home,
+        appliances=ApplianceCatalog(list(home.appliances)[:n_appliances]),
+    )
+    rng = np.random.default_rng(n_appliances)
+    status = rng.random((300, n_appliances)) < 0.3
+    status[100:200] = status[:100]  # repeated patterns exercise the dedup
+    _assert_appliance_tables_match_rows(home, status)
+    _assert_appliance_tables_match_rows(home, status[:0])
+
+
 def test_simulate_batch_matches_individual_runs():
     fleet = generate_home_fleet(8, n_zones=4, n_days=1, seed=29)
     jobs = [
